@@ -2,16 +2,17 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload cold_build --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload cold_build --seed 1 --seconds 6 --trace 0
 
-Each workload is one user session against real ``repro serve``
-processes: boot -> read phase -> write phase -> stop -> restart by
-attach.  With ``--trace 0`` the last stdout line is a JSON object with
-the end-to-end metrics; with ``--trace 1`` the same session also runs
-with layer spans installed (``serve_traced.py``) and the line carries
-the per-layer metrics, the share of set-up and publish time they
-account for, and the tracing overhead.  Without ``--workload`` every
-workload runs in turn.  See README.md for the workloads and metrics.
+Each workload runs a few rounds of one user session against real
+``repro serve`` processes: boot -> read phase -> write phase -> stop ->
+restart by attach.  With ``--trace 0`` the last stdout line is a JSON
+object with the end-to-end metrics; with ``--trace 1`` one more session
+runs with layer spans installed (``serve_traced.py``) and the line
+carries the per-layer metrics, the share of set-up and publish time
+they account for, and the tracing overhead.  Without ``--workload``
+every workload runs in turn.  See README.md for the workloads and
+metrics.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import subprocess
 import sys
 import time
 from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate, count, islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -47,28 +49,26 @@ from session import (  # noqa: E402
     peak_rss_kb,
     pin_tree,
     python_env,
+    placed_connections,
     read_loop,
     serve_argv,
 )
 
-BOOTS = 3
-RESTARTS = 3
-#: read_rps and read_p50_ms are medians over this many equal slices of
-#: the read phase, so a stall of the shared host in one slice does not
-#: move them; read_p99_ms is taken over the whole phase
-READ_WINDOWS = 5
-#: point-lookup bodies checked against the oracle per version (the rest
-#: are checked for consistency with the first body of their path)
-CHECK_SAMPLE = 300
-#: 400 custom thresholds for ``cold_build``: almost every custom read is
-#: a new cache key, so 2% of its reads are solves and its p99 measures
-#: them; with only cache hits, its sub-millisecond p99 was scheduling
-#: noise and moved threefold between runs
+#: point-lookup bodies of a round checked against the oracle per version
+#: (the rest are checked for consistency with the first body of their
+#: path); at least 300 a run, with two rounds or more
+CHECK_SAMPLE = 150
+#: 400 custom thresholds for ``cold_build`` and ``read_mix``: almost
+#: every custom read is a new cache key, so 2% of their reads are solves
+#: and p99 measures them; with only cache hits, cold_build's
+#: sub-millisecond p99 was scheduling noise and moved threefold between runs
 FRESH_THRESHOLDS = tuple(round(0.05 + i / 1000, 3) for i in range(400))
 #: ``repro serve --cache-capacity`` default
 SERVED_CACHE_CAPACITY = 1024
-#: untimed reads before the read phase when the key space exceeds the cache
-WARMUP_S = 5
+#: untimed reads of each connection before the read phase when the key
+#: space exceeds the cache: a count, not a time, so a faster host does
+#: not start the phase with a warmer cache
+WARMUP_READS = 1000
 #: skew of key popularity.  At 1.1, a quarter of read_mix's reads missed
 #: the cache, and misses (a depth-2 /neighbors of a hub takes up to 0.2 s)
 #: and the reads queued behind them put the median on the steep edge
@@ -115,7 +115,15 @@ class Workload:
     boot: str
     #: "persons", "shareholdings" or "pool" (see ``next_batch``)
     writes: str
-    #: publishes of the write phase
+    #: sessions of one run, each with its own boot, a 1/rounds share of
+    #: the read time, its publishes and a restart.  The read and publish
+    #: metrics pool the rounds' samples, the others are medians over the
+    #: rounds, so each samples the host at moments spread over the run:
+    #: the shared host's speed drifts by a fifth over tens of seconds,
+    #: and the same samples taken back to back moved every timing metric
+    #: with it
+    rounds: int
+    #: publishes of each round's write phase
     publishes: int
     mix: ReadMix
     #: ``repro serve --clusters``; the incremental = cold check builds with it too
@@ -133,18 +141,29 @@ WORKLOADS = {
     for w in (
         Workload(
             "cold_build", persons=200, companies=100, density="sparse",
-            boot="cold", writes="persons", publishes=4, clusters=4,
+            boot="cold", writes="persons", rounds=4, publishes=1, clusters=4,
             mix=ReadMix(list_every=10, custom_every=50, custom_thresholds=FRESH_THRESHOLDS),
         ),
+        # fresh custom thresholds every 50th read: with 0.1/0.15/0.3 every
+        # 100th read (one solve per threshold, then cache hits), p99 sat
+        # among depth-2 /neighbors misses of hubs alone and spread 0.27
+        # (IQR/median) over ten seeds; with 2% of the reads integrated
+        # solves of 60-90 ms beside them, it spread 0.12 over five.  Two
+        # rounds: a round takes about 20 s (a publish persists 11 MB), and
+        # with three, 22 runs of each workload took about 3,200 s
         Workload(
             "read_mix", persons=50, companies=1500, density="normal",
-            boot="attach", writes="shareholdings", publishes=3,
-            mix=ReadMix(list_every=50, custom_every=100),
+            boot="attach", writes="shareholdings", rounds=2, publishes=1,
+            mix=ReadMix(list_every=50, custom_every=50, custom_thresholds=FRESH_THRESHOLDS),
         ),
+        # lists every 10th read: /close-links is then the slowest 3% of
+        # the reads and p99 falls inside its latencies; with a list every
+        # 50th read, p99 sat where /close-links met depth-2 /neighbors
+        # misses and spread 0.33 (IQR/median) over five seeds
         Workload(
             "write_pool", persons=60, companies=600, density="normal",
-            boot="cold", writes="pool", publishes=6, workers=2,
-            mix=ReadMix(list_every=50, custom_every=100),
+            boot="cold", writes="pool", rounds=3, publishes=2, workers=2,
+            mix=ReadMix(list_every=10, custom_every=100),
         ),
     )
 }
@@ -283,18 +302,21 @@ class Session:
     """boot -> reads -> writes -> stop -> restart, against one workload."""
 
     def __init__(self, root: Path, work: Path, workload: Workload, seed: int,
-                 seconds: int, ops: Ops, traced: bool):
+                 seconds: float, ops: Ops, traced: bool, number: int):
         self.root, self.work, self.workload = root, work, workload
         self.seed, self.seconds, self.ops, self.traced = seed, seconds, ops, traced
+        self.number = number
         self.extract = work / "extract"
         # stores, logs and span files of this session only
-        self.dir = work / ("traced" if traced else "plain")
+        self.dir = work / ("traced" if traced else f"round{number}")
+        self.store = self.dir / "store"
         self.trace_dir = self.dir / "spans"
         self.trace_dir.mkdir(parents=True)
         self.env = python_env(root, {"PERFBENCH_TRACE_DIR": str(self.trace_dir)})
         self.servers: list[Server] = []
-        self.boot_s: list[float] = []
-        self.restart_s: list[float] = []
+        self.boot_s = 0.0
+        self.restart_s = 0.0
+        self.stop_s = 0.0
         self.publish: list[tuple[float, float]] = []  # (sent, answered)
         self.replies: list[tuple[dict, int]] = []  # (reply, version it should carry)
         self.versions: dict[int, oracle.Model] = {}
@@ -327,78 +349,81 @@ class Session:
             server.kill()
         self.servers.clear()
 
-    def _store(self, number: int) -> Path:
-        return self.dir / f"store{number}"
-
     # -- phases ----------------------------------------------------------
 
-    def boot(self, boots: int, model: oracle.Model) -> Server:
+    def boot(self, model: oracle.Model) -> Server:
         w = self.workload
         if w.boot == "attach":
-            prep = self._spawn([str(self.extract), "--store", str(self._store(0))], False)
-            self._stop(prep)
-        server = None
-        for number in range(boots):
-            if server is not None:
-                self._stop(server)
-            if w.boot == "attach":
-                self.store = self._store(0)
-                args = ["--store", str(self.store)]
-            else:
-                self.store = self._store(number)
-                args = [str(self.extract), "--store", str(self.store)]
-            self.ops.add("boot")
-            try:
-                server = self._spawn([*args, *w.serve_args])
-            except BenchError:
-                self.ops.add("boot", 0, 1)
-                raise
-            self.boot_s.append(server.boot_s)
-            self.boot_window = (server.spawned_at, server.spawned_at + server.boot_s)
-            self.boot_pid = server.pid
-            self.ops.check(version_errors("boot", server.version, 1))
+            # a copy of the store persisted once per run, untimed
+            shutil.copytree(self.work / "prepared", self.store)
+            args = ["--store", str(self.store)]
+        else:
+            args = [str(self.extract), "--store", str(self.store)]
+        self.ops.add("boot")
+        try:
+            server = self._spawn([*args, *w.serve_args])
+        except BenchError:
+            self.ops.add("boot", 0, 1)
+            raise
+        self.boot_s = server.boot_s
+        self.boot_window = (server.spawned_at, server.spawned_at + server.boot_s)
+        self.boot_pid = server.pid
+        self.ops.check(version_errors("boot", server.version, 1))
         self.versions[1] = model
         return server
 
     def read_phase(self, server: Server) -> None:
         mix, model = self.workload.mix, self.versions[1]
-        streams = [read_paths(self.seed, i, model, mix) for i in range(2)]
-
-        async def reads(log: ReadLog, seconds: float) -> None:
-            deadline = time.monotonic() + seconds
-            await asyncio.gather(*(
-                read_loop(server.port, paths, log, deadline) for paths in streams
-            ))
-
+        streams = [read_paths(self.seed, 2 * self.number + i, model, mix) for i in range(2)]
         keys = point_paths(model)
-        if len(keys) <= SERVED_CACHE_CAPACITY:
-            self._warm(server, keys)
-        else:
-            # the cache cannot hold every key: run the same traffic
-            # untimed until the LRU has turned over, else the timed phase
-            # measured how far the cold cache had filled
-            warmup = ReadLog()
-            with quiet_gc():
-                asyncio.run(reads(warmup, WARMUP_S))
-            self.ops.add("read", warmup.attempted, warmup.failed)
-        # client and server on CPUs of their own, as on separate hosts:
-        # left to the scheduler, they shared one CPU in some runs and not
-        # in others, which doubled the median read latency between runs
+        warmup = ReadLog()
+
+        async def reads() -> None:
+            # the same two connections warm up and then read, each on a
+            # serving process of its own: placed at random, both readers
+            # sometimes shared one pool worker, and the share of reads
+            # queued behind a list read moved p90 from 1.1 to 2.9 ms
+            conns = await placed_connections(server.port, self.workload.workers, len(streams))
+            try:
+                if len(keys) > SERVED_CACHE_CAPACITY:
+                    # the cache cannot hold every key: run the same
+                    # traffic untimed until the LRU has turned over, else
+                    # the timed phase measured how far the cold cache had
+                    # filled
+                    await asyncio.gather(*(
+                        read_loop(conn, islice(paths, WARMUP_READS), warmup, float("inf"))
+                        for conn, paths in zip(conns, streams)
+                    ))
+                start = time.monotonic()
+                try:
+                    await asyncio.gather(*(
+                        read_loop(conn, paths, self.reads, start + self.seconds)
+                        for conn, paths in zip(conns, streams)
+                    ))
+                finally:
+                    self.read_window = (start, time.monotonic())
+            finally:
+                for conn in conns:
+                    await conn.close()
+
+        # client and every serving process on one CPU, for the warm-up
+        # too.  Left to the scheduler, they shared a CPU in some runs and
+        # not in others, which doubled the median read latency between
+        # runs; on CPUs of their own, every request crossed CPUs, and in
+        # three or four runs of ten the pool read at half its usual rate
         cpus = os.sched_getaffinity(0)
-        split = len(cpus) > 1
-        if split:
-            first = min(cpus)
-            os.sched_setaffinity(0, {first})
-            pin_tree(server.pid, cpus - {first})
-        start = time.monotonic()
+        one = {min(cpus)}
+        os.sched_setaffinity(0, one)
+        pin_tree(server.pid, one)
         try:
+            if len(keys) <= SERVED_CACHE_CAPACITY:
+                self._warm(server, keys)
             with quiet_gc():
-                asyncio.run(reads(self.reads, self.seconds))
+                asyncio.run(reads())
+            self.ops.add("read", warmup.attempted, warmup.failed)
         finally:
-            self.read_window = (start, time.monotonic())
-            if split:
-                os.sched_setaffinity(0, cpus)
-                pin_tree(server.pid, cpus)
+            os.sched_setaffinity(0, cpus)
+            pin_tree(server.pid, cpus)
         if self.traced:
             self.cache = self._cache_counters(server)
 
@@ -435,7 +460,7 @@ class Session:
     def write_phase(self, server: Server, truth: dict) -> None:
         """Sequential publishes on one connection."""
         w = self.workload
-        rng = random.Random(self.seed * 7919 + 1)
+        rng = random.Random(self.seed * 7919 + 1 + 104729 * self.number)
         self.last_version = 1
 
         async def writes() -> None:
@@ -495,45 +520,42 @@ class Session:
             client.close()
         return bodies
 
-    def restarts(self, server: Server, count: int) -> tuple[Server, dict, dict]:
-        """SIGTERM -> ``serve --store`` by attach, ``count`` times; the
-        probes served before the first stop and after it."""
+    def restart(self, server: Server) -> tuple[Server, dict, dict]:
+        """SIGTERM -> ``serve --store`` by attach; the probes served
+        before the stop and after it."""
         w = self.workload
         final = self.versions[self.last_version]
         before = self.probes(server, final)
         self.peak_rss_kb = peak_rss_kb(server.pid)
-        after = {}
-        for number in range(count):
-            self.ops.add("restart")
-            started = time.monotonic()
-            self._stop(server)
-            try:
-                server = self._spawn(["--store", str(self.store), *w.serve_args])
-            except BenchError:
-                self.ops.add("restart", 0, 1)
-                raise
-            self.restart_s.append(time.monotonic() - started)
-            self.ops.check(version_errors("restart", server.version, self.last_version))
-            if number == 0:
-                after = self.probes(server, final)
+        self.ops.add("restart")
+        started = time.monotonic()
+        self._stop(server)
+        self.stop_s = time.monotonic() - started
+        try:
+            server = self._spawn(["--store", str(self.store), *w.serve_args])
+        except BenchError:
+            self.ops.add("restart", 0, 1)
+            raise
+        self.restart_s = time.monotonic() - started
+        self.ops.check(version_errors("restart", server.version, self.last_version))
+        after = self.probes(server, final)
         self.store_bytes = sum(
             f.stat().st_size for f in self.store.rglob("*") if f.is_file()
         )
         return server, before, after
 
-    def run(self, truth: dict, model: oracle.Model, boots: int, restarts: int):
-        w = self.workload
+    def run(self, truth: dict, model: oracle.Model):
         marks = [("start", time.monotonic())]
-        server = self.boot(boots, model)
+        server = self.boot(model)
         marks.append(("boot", time.monotonic()))
         self.read_phase(server)
         marks.append(("read", time.monotonic()))
         self.write_phase(server, truth)
         marks.append(("write", time.monotonic()))
-        server, before, after = self.restarts(server, restarts)
+        server, before, after = self.restart(server)
         self._stop(server)
         marks.append(("restart", time.monotonic()))
-        print("# phases (wall s): " + ", ".join(
+        print(f"# round {self.number} phases (wall s): " + ", ".join(
             f"{name} {end - begin:.1f}" for (_, begin), (name, end) in zip(marks, marks[1:])
         ))
         return before, after
@@ -554,8 +576,11 @@ def check_restart(before: dict, after: dict, version: int) -> list[str]:
     return errors
 
 
-def run_checks(session: Session, truth: dict, ops: Ops, cold_links: list | None) -> None:
-    """Every output check, with a self-test per check kind."""
+def run_checks(session: Session, truth: dict, ops: Ops, cold_links: list | None,
+               oracles: dict) -> None:
+    """Every output check, with a self-test per check kind.  ``oracles``
+    keeps the oracle of each model across the rounds of a run, which all
+    start from the same first version."""
     rng = random.Random(session.seed * 131 + 3)
     reads = session.reads
     ops.add("read", reads.attempted, reads.failed)
@@ -575,7 +600,9 @@ def run_checks(session: Session, truth: dict, ops: Ops, cold_links: list | None)
         if model is None:
             ops.check([f"read answered from unpublished version {version}"])
             continue
-        check = oracle.Oracle(model)
+        if id(model) not in oracles:
+            oracles[id(model)] = (model, oracle.Oracle(model))
+        check = oracles[id(model)][1]
         points = [i for i in items if i[0].startswith(("/ubo/", "/neighbors/", "/control?"))
                   and "threshold" not in i[0]]
         others = [i for i in items if i not in points]
@@ -709,32 +736,48 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def read_windows(reads: ReadLog, start: float, end: float) -> list[list[float]]:
-    """Latencies of each of ``READ_WINDOWS`` equal slices of the read
-    phase (by completion time)."""
-    width = (end - start) / READ_WINDOWS
-    slices: list[list[float]] = [[] for _ in range(READ_WINDOWS)]
-    for finished, latency in zip(reads.ends, reads.latencies_s):
-        slices[min(READ_WINDOWS - 1, int((finished - start) / width))].append(latency)
-    return slices
-
-
-def end_to_end(session: Session) -> dict[str, tuple[float, str]]:
-    start, end = session.read_window
-    slices = read_windows(session.reads, start, end)
-    width = (end - start) / READ_WINDOWS
-    published = session.last_version
+def end_to_end(sessions: list[Session]) -> dict[str, tuple[float, str]]:
+    """The end-to-end metrics of a run's rounds.  Reads and publishes are
+    pooled over the rounds; set-up, restart, memory and store size are
+    medians over them.  A round's read rate and median latency moved by
+    a fifth between the rounds of one run, and the median of three such
+    figures spread up to 0.25 (IQR/median) over seven seeds, where their
+    mean spread 0.11 or less."""
+    latencies = [x for s in sessions for x in s.reads.latencies_s]
+    read_s = sum(end - start for start, end in (s.read_window for s in sessions))
+    rps, p50 = [], []
+    for s in sessions:
+        start, end = s.read_window
+        rps.append(len(s.reads.latencies_s) / (end - start))
+        p50.append(statistics.median(s.reads.latencies_s))
+    print("# rounds: read_rps " + " ".join(f"{x:.0f}" for x in rps)
+          + "; read_p50_ms " + " ".join(f"{1000 * x:.3f}" for x in p50)
+          + "; setup_s " + " ".join(f"{s.boot_s:.3f}" for s in sessions)
+          + "; restart_s " + " ".join(f"{s.restart_s:.3f}" for s in sessions)
+          + " (stop " + " ".join(f"{s.stop_s:.3f}" for s in sessions) + ")")
+    print("# read latency ms: " + " ".join(
+        f"p{q}={1000 * percentile(latencies, q / 100):.3f}"
+        for q in (10, 30, 50, 70, 80, 90, 95, 97, 98, 99)))
+    # which reads make the tail: p99 is steady only inside one kind's mode
+    kinds = Counter(check_kind(p) for s in sessions for p in s.reads.paths)
+    cut = percentile(latencies, 0.99)
+    slow = Counter(check_kind(p) for s in sessions
+                   for p, x in zip(s.reads.paths, s.reads.latencies_s) if x >= cut)
+    print("# reads at or above p99 by kind: " + ", ".join(
+        f"{kind} {n}/{kinds[kind]}" for kind, n in slow.most_common()))
     return {
-        "setup_s": (statistics.median(session.boot_s), "s"),
-        "read_rps": (statistics.median(len(s) / width for s in slices), "req/s"),
-        "read_p50_ms": (1000 * statistics.median(statistics.median(s) for s in slices), "ms"),
-        "read_p99_ms": (1000 * percentile(session.reads.latencies_s, 0.99), "ms"),
+        "setup_s": (statistics.median(s.boot_s for s in sessions), "s"),
+        "read_rps": (len(latencies) / read_s, "req/s"),
+        "read_p50_ms": (1000 * statistics.median(latencies), "ms"),
+        "read_p99_ms": (1000 * percentile(latencies, 0.99), "ms"),
         "publish_p50_ms": (
-            1000 * statistics.median(a - s for s, a in session.publish), "ms"
+            1000 * statistics.median(a - b for s in sessions for b, a in s.publish), "ms"
         ),
-        "restart_s": (statistics.median(session.restart_s), "s"),
-        "peak_rss_mb": (session.peak_rss_kb / 1024, "MB"),
-        "store_kb_per_version": (session.store_bytes / 1024 / published, "KB"),
+        "restart_s": (statistics.median(s.restart_s for s in sessions), "s"),
+        "peak_rss_mb": (statistics.median(s.peak_rss_kb for s in sessions) / 1024, "MB"),
+        "store_kb_per_version": (
+            statistics.median(s.store_bytes / 1024 / s.last_version for s in sessions), "KB"
+        ),
     }
 
 
@@ -794,6 +837,12 @@ def prepare(root: Path, work: Path, workload: Workload) -> tuple[oracle.Model, d
         env=python_env(root), check=True, stdout=subprocess.DEVNULL, timeout=120,
     )
     truth = json.loads((extract / "ground_truth.json").read_text())
+    if workload.boot == "attach":
+        # the store every round boots from, persisted untimed
+        server = Server(serve_argv(root, False, [str(extract), "--store", str(work / "prepared"),
+                                                 "--port", "0"]),
+                        python_env(root), work / "prepare.log")
+        server.stop()
     return oracle.Model.from_extract(extract), truth
 
 
@@ -808,12 +857,11 @@ def cold_family_links(root: Path, work: Path, session: Session) -> list:
     return json.loads(out.stdout)
 
 
-def run_session(root, work, workload, seed, seconds, ops, truth, model, traced):
-    session = Session(root, work, workload, seed, seconds, ops, traced)
+def run_session(root, work, workload, seed, seconds, ops, truth, model, traced, number):
+    session = Session(root, work, workload, seed, seconds, ops, traced, number)
     leaked_before = shm_segments()
     try:
-        boots, restarts = (1, 1) if traced else (BOOTS, RESTARTS)
-        session.before, session.after = session.run(truth, model, boots, restarts)
+        session.before, session.after = session.run(truth, model)
     finally:
         session.close()
         after = shm_segments()
@@ -838,13 +886,25 @@ def run_workload(root: Path, name: str, seed: int, seconds: int, trace: bool) ->
         model, truth = prepare(root, work, workload)
         print(f"# inputs: {len(model.persons())} persons, {len(model.companies())} "
               f"companies, {len(model.edges)} shareholdings ({workload.density})")
-        plain = run_session(root, work, workload, seed, seconds, ops, truth, model, False)
-        started = time.monotonic()
-        cold = cold_family_links(root, work, plain) if workload.writes == "persons" else None
-        run_checks(plain, truth, ops, cold)
-        print(f"# checks (wall s): {time.monotonic() - started:.1f}")
-        e2e = end_to_end(plain)
-        print(f"# read samples: {len(plain.reads.latencies_s)}; publishes: {len(plain.publish)}")
+        # a traced run compares one traced round with one plain round
+        count = 1 if trace else workload.rounds
+        share = seconds / workload.rounds
+        rounds: list[Session] = []
+        oracles: dict = {}
+        for number in range(count):
+            plain = run_session(root, work, workload, seed, share, ops, truth, model, False,
+                                number)
+            started = time.monotonic()
+            # a cold build per run: the last round's publishes against it
+            last = number == count - 1
+            cold = (cold_family_links(root, work, plain)
+                    if workload.writes == "persons" and last else None)
+            run_checks(plain, truth, ops, cold, oracles)
+            print(f"# round {number} checks (wall s): {time.monotonic() - started:.1f}")
+            rounds.append(plain)
+        e2e = end_to_end(rounds)
+        print(f"# read samples: {sum(len(r.reads.latencies_s) for r in rounds)}; "
+              f"publishes: {sum(len(r.publish) for r in rounds)}")
         for metric, (value, unit) in e2e.items():
             print(f"{name} {metric} {value:.6g} {unit}")
         metrics = e2e
@@ -852,10 +912,10 @@ def run_workload(root: Path, name: str, seed: int, seconds: int, trace: bool) ->
             import layers
 
             traced_ops = Ops()
-            traced = run_session(root, work, workload, seed, seconds, traced_ops, truth,
-                                 model, True)
-            run_checks(traced, truth, traced_ops, None)
-            metrics = layers.per_layer(traced, e2e, end_to_end(traced))
+            traced = run_session(root, work, workload, seed, share, traced_ops, truth,
+                                 model, True, 0)
+            run_checks(traced, truth, traced_ops, None, oracles)
+            metrics = layers.per_layer(traced, e2e, end_to_end([traced]))
             for metric, (value, unit) in metrics.items():
                 print(f"{name} {metric} {value:.6g} {unit}")
             for kind, (attempted, failed) in traced_ops.counts.items():
@@ -881,7 +941,7 @@ def main() -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default=None,
                         help="one workload (default: every workload in turn)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=6)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     # a terminated run still stops its servers (the finally blocks run)

@@ -85,15 +85,20 @@ class Server:
         watchdog.start()
         try:
             self.version, self.port = self._await_ready()
+            client = Client(self.port)
+            try:
+                status, _body = client.get("/healthz")
+            finally:
+                client.close()
+            if status != 200:
+                raise BenchError(f"/healthz answered {status}")
+        except BaseException:
+            # not yet known to the caller, so nobody else would stop it
+            # (a failed boot, or a run interrupted while it booted)
+            self.kill()
+            raise
         finally:
             watchdog.cancel()
-        client = Client(self.port)
-        try:
-            status, _body = client.get("/healthz")
-        finally:
-            client.close()
-        if status != 200:
-            raise BenchError(f"/healthz answered {status}")
         self.boot_s = time.monotonic() - started
         # drain the rest of stdout so the server can never block on it
         self._drain = threading.Thread(target=self.proc.stdout.read, daemon=True)
@@ -104,7 +109,6 @@ class Server:
             match = READY.search(line)
             if match:
                 return int(match.group(1)), int(match.group(3))
-        self.kill()
         raise BenchError(f"server did not come up: {' '.join(self.argv[2:])} (see {self.log})")
 
     @property
@@ -171,6 +175,7 @@ class ReadLog:
     """Every read of a phase: latency, status, and body identity."""
 
     latencies_s: list[float] = field(default_factory=list)
+    paths: list[str] = field(default_factory=list)
     #: completion time of each read, on ``time.monotonic``
     ends: list[float] = field(default_factory=list)
     failed: int = 0
@@ -181,6 +186,7 @@ class ReadLog:
 
     def add(self, path: str, status: int, body: bytes, latency_s: float) -> None:
         self.latencies_s.append(latency_s)
+        self.paths.append(path)
         self.ends.append(time.monotonic())
         if status != 200:
             self.failed += 1
@@ -245,21 +251,45 @@ class Connection:
             self.reader = self.writer = None
 
 
-async def read_loop(port: int, paths, log: ReadLog, deadline: float):
-    """A closed loop: the next read goes out when the previous returns."""
-    conn = Connection(port)
+async def placed_connections(port: int, workers: int, count: int) -> list[Connection]:
+    """``count`` open connections, on as many distinct serving processes
+    as there are.  The kernel places each new connection on a pool worker
+    at random (SO_REUSEPORT); one placed on a worker already taken is
+    closed and opened again."""
+    conns: list[Connection] = []
+    taken: set = set()
     try:
-        while time.monotonic() < deadline:
-            path = next(paths)
-            started = time.monotonic()
-            try:
-                status, body = await conn.request("GET", path)
-            except (OSError, ValueError, asyncio.IncompleteReadError):
-                status, body = 0, b""
-                await conn.close()
-            log.add(path, status, body, time.monotonic() - started)
-    finally:
-        await conn.close()
+        for _attempt in range(100):
+            conn = Connection(port)
+            conns.append(conn)
+            status, body = await conn.request("GET", "/metrics")
+            worker = json.loads(body).get("worker_id") if status == 200 else None
+            if status != 200 or (worker in taken and len(taken) < min(count, workers)):
+                await conns.pop().close()
+                continue
+            taken.add(worker)
+            if len(conns) == count:
+                return conns
+        raise BenchError(f"could not open {count} connections on distinct workers")
+    except BaseException:
+        for conn in conns:
+            await conn.close()
+        raise
+
+
+async def read_loop(conn: Connection, paths, log: ReadLog, deadline: float):
+    """A closed loop on ``conn``: the next read goes out when the previous
+    returns, until ``paths`` ends or the deadline passes."""
+    for path in paths:
+        if time.monotonic() >= deadline:
+            break
+        started = time.monotonic()
+        try:
+            status, body = await conn.request("GET", path)
+        except (OSError, ValueError, asyncio.IncompleteReadError):
+            status, body = 0, b""
+            await conn.close()
+        log.add(path, status, body, time.monotonic() - started)
 
 
 def pin_tree(root: int, cpus: set[int]) -> None:
